@@ -14,11 +14,6 @@ Subcommands:
 
       python -m repro compare --n 256 --t 16 --crashes 8 [--json]
 
-* ``report`` - regenerate EXPERIMENTS.md (same as
-  ``python -m repro.analysis.report``)::
-
-      python -m repro report --quick
-
 * ``list`` - list registered protocols with engine kind and description.
 
 * ``adversaries`` - list adversary spec kinds with their required and
@@ -227,17 +222,6 @@ def _cmd_compare(args) -> int:
             )
         )
     return 0 if failures == 0 else 1
-
-
-def _cmd_report(args) -> int:
-    from repro.analysis.report import main as report_main
-
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    return report_main(forwarded)
 
 
 def _cmd_list(_args) -> int:
@@ -801,11 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(cmp_p)
     cmp_p.set_defaults(func=_cmd_compare)
-
-    rep_p = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
-    rep_p.add_argument("--quick", action="store_true")
-    rep_p.add_argument("--out", default=None)
-    rep_p.set_defaults(func=_cmd_report)
 
     list_p = sub.add_parser("list", help="list registered protocols")
     list_p.set_defaults(func=_cmd_list)

@@ -2,7 +2,7 @@
 
 The paper's claims are asymptotic (t sqrt t vs t log t vs t^2 message
 growth).  These helpers fit a power law ``y ~ c * x^p`` to measured
-series by least squares in log-log space, so experiments can assert the
+series by least squares in log-log space, so tests can assert the
 *exponent*, not just point values: Protocol A's messages grow like
 t^1.5, Protocol C's like ~t (log-factor absorbed), the naive
 knowledge-spreader's like t^2.

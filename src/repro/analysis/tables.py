@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benchmark output and EXPERIMENTS.md."""
+"""Plain-text (markdown) table rendering for CLI, suite and benchmark output."""
 
 from __future__ import annotations
 

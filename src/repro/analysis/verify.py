@@ -62,6 +62,10 @@ class VerificationReport:
 
 _WORK_MESSAGE_BOUNDS: Dict[str, Tuple[Callable, Callable]] = {
     "A": (bounds.protocol_a_work, bounds.protocol_a_messages),
+    # Section 2.1 remark: under a sound and complete failure detector the
+    # same DoWork keeps Theorem 2.3's effort bounds.  Async time is not
+    # rounds, so A-async has no entry in _ROUND_BOUNDS.
+    "A-ASYNC": (bounds.protocol_a_work, bounds.protocol_a_messages),
     "B": (bounds.protocol_b_work, bounds.protocol_b_messages),
     "C": (bounds.protocol_c_work, bounds.protocol_c_messages),
     "C-BATCHED": (bounds.protocol_c_batched_work, bounds.protocol_c_batched_messages),

@@ -18,8 +18,9 @@ size ``gs = ceil(sqrt(t))``, subchunk bound ``Wsub = ceil(n/t)``), plus a
 small additive ``slack`` that absorbs the discrete-engine cases where
 processes enter a protocol up to one round apart (Protocol D's reversion
 path).  Larger deadlines only delay takeovers - they never violate
-safety - and the measured round complexities in EXPERIMENTS.md are
-reported against both the paper's constants and the implemented ones.
+safety - and :func:`repro.analysis.verify.verify_run` checks measured
+round counts against the paper's formulas widened by the accumulated
+slack (``4 t`` by default).
 
 The identities of Lemma 2.5 (``TT(j,k) + TT(l,j) = TT(l,k)`` and
 ``TT(j,k) + DDB(l,j) = DDB(l,k)`` for ``g_j < g_l``) hold for the

@@ -126,7 +126,7 @@ class Metrics:
         return self.messages_by_kind.get(kind, 0)
 
     def as_dict(self, *, full: bool = False) -> Dict[str, object]:
-        """Flat summary used by tables, benches and EXPERIMENTS.md.
+        """Flat summary used by tables, benches and ``--json`` output.
 
         ``full=True`` additionally emits the per-unit/per-process
         breakdown counters and the last-event round, making the dict

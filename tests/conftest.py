@@ -15,7 +15,7 @@ from repro.sim.crashes import CrashDirective
 
 def adversary_battery(t: int):
     """Factories for the standard adversary battery used across protocol
-    tests (mirrors the experiment registry's)."""
+    tests (mirrors the E1/E2 sweeps of ``scenarios/paper_claims.json``)."""
     return [
         lambda: None,
         lambda: RandomCrashes(max(1, t // 2), max_action_index=20),

@@ -1,11 +1,8 @@
-"""Analysis layer: bounds, tables, sweeps and the experiment registry."""
+"""Analysis layer: bounds and tables."""
 
 
 from repro.analysis import bounds
-from repro.analysis.experiments import REGISTRY, experiment_e7, run_experiment
-from repro.analysis.sweep import worst_case
 from repro.analysis.tables import format_number, render_dict_rows, render_table
-from repro.sim.adversary import RandomCrashes
 
 # ---- bounds ----------------------------------------------------------------
 
@@ -59,42 +56,3 @@ def test_render_table_is_markdown():
 def test_render_dict_rows_missing_values():
     out = render_dict_rows(["x", "y"], [{"x": 1}])
     assert "| 1" in out and "| -" in out
-
-
-# ---- sweeps --------------------------------------------------------------------
-
-
-def test_worst_case_aggregates_maxima():
-    aggregate = worst_case(
-        "A",
-        32,
-        8,
-        [lambda: None, lambda: RandomCrashes(4, max_action_index=10)],
-        range(2),
-    )
-    assert aggregate.executions == 4
-    assert aggregate.all_completed
-    assert aggregate.work >= 32
-    row = aggregate.as_row()
-    assert row["protocol"] == "A" and row["runs"] == 4
-
-
-# ---- experiment registry -----------------------------------------------------------
-
-
-def test_registry_covers_all_design_experiments():
-    assert set(REGISTRY) == {f"E{i}" for i in range(1, 18)}
-
-
-def test_run_single_experiment_quick():
-    result = run_experiment("E7", quick=True)
-    assert result.exp_id == "E7"
-    assert result.rows
-    assert result.all_ok
-
-
-def test_experiment_rows_have_declared_columns():
-    result = experiment_e7(quick=True)
-    for row in result.rows:
-        for column in result.columns:
-            assert column in row

@@ -44,20 +44,6 @@ def test_compare_table(capsys):
     assert "effort" in out
 
 
-def test_report_quick(tmp_path, capsys, monkeypatch):
-    # Patch the experiment registry to keep the CLI test fast.
-    import repro.analysis.report as report_module
-    from repro.analysis.experiments import ExperimentResult
-
-    fake = ExperimentResult(
-        exp_id="EX", title="Fake", claim="c", columns=["ok"], rows=[{"ok": True}]
-    )
-    monkeypatch.setattr(report_module, "run_all", lambda quick: [fake])
-    out_file = tmp_path / "OUT.md"
-    assert main(["report", "--quick", "--out", str(out_file)]) == 0
-    assert "Fake" in out_file.read_text()
-
-
 def test_unknown_protocol_is_rejected():
     with pytest.raises(SystemExit):
         main(["run", "zz", "--n", "8", "--t", "2"])

@@ -1,10 +1,5 @@
-"""Trace, RNG, failure-detector configuration and the report generator."""
+"""Trace, RNG and failure-detector configuration."""
 
-
-
-from repro.analysis.experiments import ExperimentResult
-from repro.analysis.report import main as report_main
-from repro.analysis.report import render_report
 from repro.sim.failure_detector import FailureDetector
 from repro.sim.rng import choose_subset, derive_rng, make_rng, shuffled
 from repro.sim.trace import Trace, TraceEvent
@@ -99,44 +94,3 @@ def test_detector_custom_delay_fn():
     # Negative results are clamped to zero.
     detector = FailureDetector(delay_fn=lambda rng, observer, crashed: -1.0)
     assert detector.notification_delay(make_rng(1), 3, 0) == 0.0
-
-
-# ---- report generator ------------------------------------------------------------
-
-
-def _fake_result(ok=True):
-    return ExperimentResult(
-        exp_id="EX",
-        title="Fake",
-        claim="claims",
-        columns=["x", "ok"],
-        rows=[{"x": 1, "ok": ok}],
-        notes="a note",
-    )
-
-
-def test_render_report_structure():
-    text = render_report([_fake_result()], elapsed=1.0)
-    assert "## EX: Fake" in text
-    assert "1/1 experiments reproduce" in text
-    assert "a note" in text
-    assert "**reproduced**" in text
-
-
-def test_render_report_flags_failures():
-    text = render_report([_fake_result(ok=False)], elapsed=1.0)
-    assert "0/1" in text
-    assert "NOT fully reproduced" in text
-
-
-def test_report_main_writes_file(tmp_path, monkeypatch):
-    out = tmp_path / "EXP.md"
-    # Patch the registry to two tiny fake experiments for speed.
-    import repro.analysis.report as report_module
-
-    monkeypatch.setattr(
-        report_module, "run_all", lambda quick: [_fake_result(), _fake_result()]
-    )
-    code = report_main(["--quick", "--out", str(out)])
-    assert code == 0
-    assert "## EX: Fake" in out.read_text()

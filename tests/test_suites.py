@@ -276,6 +276,7 @@ def test_shipped_suite_files_are_discovered():
         "adversary_recovery.json",
         "async_delay.json",
         "paper_battery.json",
+        "paper_claims.json",
     ]
 
 

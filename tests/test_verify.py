@@ -4,14 +4,15 @@ import pytest
 
 from repro import run_protocol
 from repro.analysis.verify import verify_run
+from repro.api import Scenario
 from repro.errors import ConfigurationError
 from repro.sim.adversary import KillActive, StaggeredWorkKills
 
 
-@pytest.mark.parametrize("protocol", ["A", "B", "C", "C-batched"])
+@pytest.mark.parametrize("protocol", ["A", "A-async", "B", "C", "C-batched"])
 def test_sequential_protocols_verify_clean(protocol):
     n, t = 64, 16
-    result = run_protocol(protocol, n, t, seed=1)
+    result = Scenario(protocol=protocol, n=n, t=t, seed=1).run()
     report = verify_run(result, protocol, n, t)
     assert report.ok, report.failures()
     names = {check.name for check in report.checks}
