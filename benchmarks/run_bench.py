@@ -32,6 +32,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis.tables import format_number  # noqa: E402
 from repro.api import Scenario  # noqa: E402
 from repro.sim.columnar import HAVE_NUMPY  # noqa: E402
 
@@ -231,6 +232,24 @@ FULL_SCENARIOS = [
     },
 ]
 
+# Paired on/off rows for the protocols whose processes do not read
+# columns: one or two envelopes per wake, so the columnar store only adds
+# per-drain numpy calls.  They back fastpath="auto" leaving these
+# protocols on the pure-python store (docs/perf.md).
+FULL_SCENARIOS += [
+    {
+        "name": f"{protocol}_n1024_t256_fastpath_{mode}",
+        "protocol": protocol,
+        "n": 1024,
+        "t": 256,
+        "adversary": "random:32",
+        "seed": 1,
+        "fastpath": mode,
+    }
+    for protocol in ("A", "B", "C", "naive")
+    for mode in ("on", "off")
+]
+
 
 def _scenarios(smoke: bool):
     """(name, Scenario) pairs built from the data tables above."""
@@ -238,6 +257,15 @@ def _scenarios(smoke: bool):
         (spec["name"], Scenario.from_dict(spec))
         for spec in (SMOKE_SCENARIOS if smoke else FULL_SCENARIOS)
     ]
+
+
+def _virtual_rounds(rounds: int):
+    """The retire round as a float, or as the exact int once it passes
+    the float range (Protocol C's exponential deadlines do at t=256)."""
+    try:
+        return float(rounds)
+    except OverflowError:
+        return rounds
 
 
 def run(smoke: bool, repeat: int, out_path: Path) -> int:
@@ -272,14 +300,14 @@ def run(smoke: bool, repeat: int, out_path: Path) -> int:
             "seconds_all": [round(s, 6) for s in timings],
             "work": result.metrics.work_total,
             "messages": result.metrics.messages_total,
-            "virtual_rounds": float(result.metrics.retire_round),
+            "virtual_rounds": _virtual_rounds(result.metrics.retire_round),
             "completed": result.completed,
             "scenario": scenario.to_dict(),
         }
         results.append(row)
         print(
             f"{name}: {best:.3f}s  work={row['work']} messages={row['messages']} "
-            f"virtual_rounds={row['virtual_rounds']:.3g}"
+            f"virtual_rounds={format_number(row['virtual_rounds'])}"
         )
     payload = {
         "suite": "engine",

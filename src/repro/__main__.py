@@ -725,8 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(FASTPATH_CHOICES),
             default="auto",
             help="columnar numpy delivery path for the sync engine: auto "
-            "uses it when numpy is importable, on requires it, off forces "
-            "the pure-python path (bit-identical either way)",
+            "uses it when numpy is importable and the protocol reads columns "
+            "(the D family), on forces it for any protocol (needs numpy), off "
+            "forces the pure-python path (bit-identical either way)",
         )
         p.add_argument(
             "--crashes",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import Any, Iterable, List, Optional, Sequence
 
 
@@ -11,7 +12,8 @@ def format_number(value: Any) -> str:
         return "yes" if value else "no"
     if isinstance(value, int):
         if abs(value) >= 10**15:
-            return f"{float(value):.3e}"
+            # Decimal, not float: Protocol C's round counts pass 2**1024.
+            return f"{Decimal(value):.3e}"
         return f"{value:,}"
     if isinstance(value, float):
         if value != value:  # NaN
@@ -55,16 +57,3 @@ def render_table(
     parts.extend(line(row) for row in formatted)
     return "\n".join(parts)
 
-
-def render_dict_rows(
-    columns: Sequence[str],
-    rows: Iterable[dict],
-    *,
-    title: Optional[str] = None,
-) -> str:
-    """Render dict rows selecting ``columns`` in order (missing -> '-')."""
-    return render_table(
-        columns,
-        [[row.get(column) for column in columns] for row in rows],
-        title=title,
-    )

@@ -113,11 +113,13 @@ class Scenario:
         max_steps / max_rounds: sync engine budgets.
         max_events: async engine budget.
         fastpath: columnar numpy delivery path for the sync engine -
-            ``"auto"`` (use numpy when installed; the default),
-            ``"on"`` (require it; errors when the ``repro[fast]`` extra
-            is missing) or ``"off"`` (pure python).  Results are
-            bit-identical either way, so the field is excluded from
-            :meth:`canonical_dict` / :meth:`cache_key`.
+            ``"auto"`` (the default: columnar when numpy is installed
+            *and* the protocol's processes read columns, i.e. the D
+            family), ``"on"`` (columnar for any protocol; errors when
+            the ``repro[fast]`` extra is missing) or ``"off"`` (pure
+            python).  Results are bit-identical either way, so the
+            field is excluded from :meth:`canonical_dict` /
+            :meth:`cache_key`.
         options: extra keyword arguments for the protocol builder
             (e.g. ``interval`` for ``naive``, ``revert_threshold`` for
             ``D``, ``step_delay`` for ``A-async``).

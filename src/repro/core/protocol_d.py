@@ -122,6 +122,8 @@ class _AgreeCache:
 class ProtocolDProcess(Process):
     """One process of Protocol D."""
 
+    reads_columns = True
+
     def __init__(
         self,
         pid: int,

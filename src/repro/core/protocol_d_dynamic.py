@@ -149,6 +149,8 @@ class ArrivalSchedule:
 class DynamicProtocolDProcess(Process):
     """One site of the dynamic-workload variant."""
 
+    reads_columns = True
+
     def __init__(
         self,
         pid: int,

@@ -39,8 +39,11 @@ directly and never allocate a view at all.
 
 numpy is an optional dependency (the ``repro[fast]`` extra).  This
 module always imports; :func:`resolve_fastpath` decides per engine
-whether the fast path is available (``"auto"``), required (``"on"``) or
-disabled (``"off"``).
+whether the fast path is chosen by need (``"auto"``: numpy importable
+*and* some process sets :attr:`~repro.sim.process.Process.reads_columns`,
+i.e. the D family), forced (``"on"``) or disabled (``"off"``).  The
+other protocols drain one or two envelopes per wake, where the per-drain
+numpy calls cost 2-3x more than the per-copy mailboxes they replace.
 """
 
 from __future__ import annotations
@@ -66,19 +69,21 @@ KIND_CODES = {kind: code for code, kind in enumerate(MessageKind)}
 KIND_BY_CODE = tuple(MessageKind)
 
 
-def resolve_fastpath(mode: str) -> bool:
+def resolve_fastpath(mode: str, reads_columns: bool) -> bool:
     """Decide whether an engine runs columnar, from its ``fastpath`` knob.
 
-    ``"auto"`` uses numpy when importable, ``"off"`` never does, and
-    ``"on"`` demands it - raising a :class:`ConfigurationError` that
-    names the ``repro[fast]`` extra when numpy is missing, so a run that
-    was promised the fast path fails loudly instead of silently slowing
-    down.
+    ``"auto"`` runs columnar when numpy is importable and
+    ``reads_columns`` (some process of the run reads a
+    :class:`ColumnarInbox` through its columns); ``"off"`` never does,
+    and ``"on"`` demands it for any protocol - raising a
+    :class:`ConfigurationError` that names the ``repro[fast]`` extra
+    when numpy is missing, so a run that was promised the fast path
+    fails loudly instead of silently slowing down.
     """
     if mode == "off":
         return False
     if mode == "auto":
-        return HAVE_NUMPY
+        return HAVE_NUMPY and reads_columns
     if mode == "on":
         if not HAVE_NUMPY:
             raise ConfigurationError(

@@ -170,12 +170,15 @@ class Engine:
         # Columnar fast path (see repro.sim.columnar): when resolved on,
         # ``_fast`` replaces the per-copy mailboxes as the delivery store
         # - same stamps, same order, same budgets, bit-identical results.
+        # ``auto`` resolves on only for processes that read columns.
         # ``_noted_mask`` tracks which pids already had their due round
         # lowered this round (all same-round posts imply the same due),
         # replacing the slow path's per-copy _note_mail calls.
         self.fastpath = fastpath
         self._fast: Optional[ColumnarMailboxes] = (
-            ColumnarMailboxes(self.t) if resolve_fastpath(fastpath) else None
+            ColumnarMailboxes(self.t)
+            if resolve_fastpath(fastpath, any(p.reads_columns for p in self.processes))
+            else None
         )
         self._noted_mask: int = 0
         # Event index: see module docstring.

@@ -98,6 +98,13 @@ class Process(ABC):
     #: and override :meth:`on_recover`.
     supports_recovery = False
 
+    #: Whether ``on_round`` reads a :class:`~repro.sim.columnar.ColumnarInbox`
+    #: through its columns rather than iterating envelopes.  Under
+    #: ``fastpath="auto"`` the engine picks the columnar store only when
+    #: some process sets this; the rest drain one or two envelopes per
+    #: wake, where per-drain numpy overhead costs more than it saves.
+    reads_columns = False
+
     def mark_recovered(self, round_number: int) -> None:
         """Rejoin after a ``recover_after`` crash (engine-driven).
 

@@ -51,12 +51,17 @@ from repro.sim.adversary import (
     StaggeredWorkKills,
 )
 from repro.sim.async_engine import AsyncEngine, fixed_delays, uniform_delays
+from repro.sim.columnar import HAVE_NUMPY
 from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
 from repro.sim.failure_detector import FailureDetector
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
+
+#: The engine under test runs the columnar store whenever it can, for
+#: every protocol, so the oracle comparison also crosses delivery paths.
+FASTPATH = "on" if HAVE_NUMPY else "off"
 
 # =====================================================================
 # The synchronous oracle: pre-PR expanded path
@@ -98,7 +103,8 @@ class _ExpandedEngine(Engine):
     def __init__(self, *args, **kwargs):
         # The oracle appends straight into the per-copy mailboxes, so it
         # must run the pure-python store (the packed engine under test
-        # keeps its default fastpath, making this a cross-path oracle).
+        # runs columnar whenever numpy is importable - FASTPATH - making
+        # this a cross-path oracle).
         kwargs["fastpath"] = "off"
         super().__init__(*args, **kwargs)
 
@@ -143,6 +149,7 @@ def _run_sync(engine_cls, wrap, protocol, n, t, adversary_factory, seed):
         seed=seed,
         strict_invariants=protocol.lower() in {"a", "b", "c", "naive"},
         trace=trace,
+        fastpath=FASTPATH,
     )
     result = engine.run()
     events = [(e.round, e.kind, e.pid, e.detail) for e in trace]

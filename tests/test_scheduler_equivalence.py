@@ -24,10 +24,15 @@ from repro.sim.adversary import (
     KillBeforeCheckpoint,
     RandomCrashes,
 )
+from repro.sim.columnar import HAVE_NUMPY
 from repro.sim.crashes import CrashDirective, CrashPhase
 from repro.sim.engine import Engine
 from repro.sim.trace import Trace
 from repro.work.tracker import WorkTracker
+
+#: The engine under test runs the columnar store whenever it can, for
+#: every protocol, so the oracle comparison also crosses delivery paths.
+FASTPATH = "on" if HAVE_NUMPY else "off"
 
 
 class _ReferenceScheduler(Engine):
@@ -41,8 +46,9 @@ class _ReferenceScheduler(Engine):
 
     def __init__(self, *args, **kwargs):
         # The reference scans self._mailboxes directly, so it must run
-        # the pure-python store; the indexed engine under test keeps its
-        # default fastpath, making this a cross-path oracle as well.
+        # the pure-python store; the indexed engine under test runs
+        # columnar whenever numpy is importable (FASTPATH), making this a
+        # cross-path oracle as well.
         kwargs["fastpath"] = "off"
         super().__init__(*args, **kwargs)
 
@@ -102,6 +108,7 @@ def _run(engine_cls, protocol, n, t, adversary_factory, seed, **options):
         seed=seed,
         strict_invariants=protocol.lower() in {"a", "b", "c", "naive"},
         trace=trace,
+        fastpath=FASTPATH,
     )
     result = engine.run()
     events = [(e.round, e.kind, e.pid, e.detail) for e in trace]
